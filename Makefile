@@ -35,11 +35,18 @@ test-race:
 test-shuffle:
 	$(GO) test -shuffle=on -count=2 -timeout 30m ./...
 
-# Short coverage-guided fuzz smoke on both targets (seeds always run as
-# part of `make test`; this explores beyond them).
+# Short coverage-guided fuzz smoke on every Fuzz* target, FUZZTIME each
+# (seeds always run as part of `make test`; this explores beyond them).
+# -fuzz accepts one target per run, hence the anchored names.
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzClipJSONRoundTrip -fuzztime=$(FUZZTIME) ./internal/clip/
-	$(GO) test -run='^$$' -fuzz=FuzzDirectionalStrings -fuzztime=$(FUZZTIME) ./internal/topo/
+	$(GO) test -run='^$$' -fuzz='^FuzzClipJSONRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/clip/
+	$(GO) test -run='^$$' -fuzz='^FuzzDirectionalStrings$$' -fuzztime=$(FUZZTIME) ./internal/topo/
+	$(GO) test -run='^$$' -fuzz='^FuzzComputeDensityInto$$' -fuzztime=$(FUZZTIME) ./internal/topo/
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/gds/
+	$(GO) test -run='^$$' -fuzz='^FuzzRecordReader$$' -fuzztime=$(FUZZTIME) ./internal/gds/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecisionBatch$$' -fuzztime=$(FUZZTIME) ./internal/svm/
+	$(GO) test -run='^$$' -fuzz='^FuzzDotDispatchConsistency$$' -fuzztime=$(FUZZTIME) ./internal/simd/
+	$(GO) test -run='^$$' -fuzz='^FuzzKernelArgsDispatchConsistency$$' -fuzztime=$(FUZZTIME) ./internal/simd/
 
 # Observability overhead guardrails (instrumented vs uninstrumented).
 bench:

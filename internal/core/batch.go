@@ -2,11 +2,10 @@ package core
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"hotspot/internal/clip"
 	"hotspot/internal/features"
+	"hotspot/internal/par"
 )
 
 // detectChunk bounds how many candidate clips DetectContext materializes
@@ -24,36 +23,6 @@ type batchVerdict struct {
 	kidx    int
 	conf    float64
 	evals   int
-}
-
-// parallelFor runs f(0..n-1) across up to `workers` goroutines. With one
-// worker (the ours_nopara mode) it degrades to a plain loop.
-func parallelFor(n, workers int, f func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // basicOnly reports whether the detector is the single-huge-kernel "Basic"
@@ -178,7 +147,7 @@ func (d *Detector) evalLive(s *evalScratch, ps []*clip.Pattern, live []int, cfg 
 		}
 		keys := s.keys[:m]
 		s.keys = keys
-		parallelFor(m, cfg.Workers, func(t int) {
+		par.For(m, cfg.Workers, func(t int) {
 			p := ps[live[t]]
 			exs[t], keys[t] = features.ExtractAllCanonical(p.CoreRects(), p.Core)
 		})
@@ -189,7 +158,7 @@ func (d *Detector) evalLive(s *evalScratch, ps []*clip.Pattern, live []int, cfg 
 			exs[t] = features.ExtractAll(s.core, p.Core)
 		}
 	default:
-		parallelFor(m, cfg.Workers, func(t int) {
+		par.For(m, cfg.Workers, func(t int) {
 			p := ps[live[t]]
 			exs[t] = features.ExtractAll(p.CoreRects(), p.Core)
 		})
@@ -233,7 +202,7 @@ func (d *Detector) evalLiveBasic(s *evalScratch, live []int, cfg Config) {
 			rows[t] = s.basicRow(k, t, cfg.BasicSlots)
 		}
 	} else {
-		parallelFor(m, cfg.Workers, func(t int) {
+		par.For(m, cfg.Workers, func(t int) {
 			rows[t] = k.scaler.Apply(features.VectorDirectFrom(s.exs[t], cfg.BasicSlots))
 		})
 	}
@@ -277,7 +246,7 @@ func (d *Detector) evalLiveAllKernels(s *evalScratch, live []int, cfg Config) {
 				rows[t] = s.kernelRow(k, t)
 			}
 		} else {
-			parallelFor(m, cfg.Workers, func(t int) {
+			par.For(m, cfg.Workers, func(t int) {
 				rows[t] = k.scaler.Apply(k.extractor.VectorFrom(s.exs[t]))
 			})
 		}
@@ -317,7 +286,7 @@ func (d *Detector) evalLiveRouted(s *evalScratch, ps []*clip.Pattern, live []int
 	}
 	routes := s.routes[:m]
 	s.routes = routes
-	parallelFor(m, cfg.Workers, func(t int) {
+	par.For(m, cfg.Workers, func(t int) {
 		routes[t] = routedKernels(d.kernels, s.keys[t], ps[live[t]], cfg)
 	})
 
@@ -467,7 +436,7 @@ func (d *Detector) feedbackBatchScratch(s *evalScratch, ps []*clip.Pattern, vs [
 			rows[t] = row
 		}
 	} else {
-		parallelFor(len(idxs), cfg.Workers, func(t int) {
+		par.For(len(idxs), cfg.Workers, func(t int) {
 			rows[t] = d.feedback.scaler.Apply(d.feedback.vector(ps[idxs[t]]))
 		})
 	}

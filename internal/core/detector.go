@@ -10,6 +10,7 @@ import (
 	"hotspot/internal/clip"
 	"hotspot/internal/features"
 	"hotspot/internal/obs"
+	"hotspot/internal/par"
 	"hotspot/internal/svm"
 	"hotspot/internal/topo"
 )
@@ -198,18 +199,6 @@ func windowSamples(patterns []*clip.Pattern) []topo.Sample {
 	return out
 }
 
-// gridsFor adapts a pattern slice to MergeClusters' grid accessor.
-func gridsFor(patterns []*clip.Pattern, cfg Config) func(int) topo.Density {
-	grid := cfg.Topo.DensityGrid
-	if grid <= 0 {
-		grid = topo.DefaultOptions.DensityGrid
-	}
-	return topo.GridsOf(func(i int) topo.Density {
-		p := patterns[i]
-		return topo.CanonicalDensity(p.CoreRects(), p.Core, grid)
-	}, len(patterns))
-}
-
 // upsample adds four shifted derivatives per hotspot pattern.
 func upsample(hs []*clip.Pattern, shift int32) []*clip.Pattern {
 	if shift <= 0 {
@@ -226,40 +215,6 @@ func upsample(hs []*clip.Pattern, shift int32) []*clip.Pattern {
 		)
 	}
 	return out
-}
-
-// trainClusterKernel fits one per-cluster kernel: the cluster's hotspots
-// against all nonhotspot centroids, with iterative C/gamma doubling seeded
-// by the group's hyperparameter override (when set).
-func trainClusterKernel(cluster topo.Cluster, repr *clip.Pattern, members, centroids []*clip.Pattern, cfg Config, gp GroupParams, onRound func(int, int, float64, float64, float64)) (*kernelUnit, int, error) {
-	unit := &kernelUnit{
-		key:      cluster.Key,
-		centroid: cluster.Centroid,
-		hotspots: members,
-	}
-	unit.extractor = features.NewExtractor(repr.CoreRects(), repr.Core)
-	scaled, labels, scaler := groupRows(unit.extractor, members, centroids)
-	unit.scaler = scaler
-
-	model, iters, err := iterativeTrain(scaled, labels, cfg, gp, 1, onRound)
-	if err != nil {
-		return nil, 0, err
-	}
-	unit.model = model
-	return unit, iters, nil
-}
-
-// trainBasicKernel fits the Table III "Basic" single huge kernel.
-func trainBasicKernel(hs, nhs []*clip.Pattern, cfg Config, onRound func(int, int, float64, float64, float64)) (*kernelUnit, int, error) {
-	unit := &kernelUnit{key: "", hotspots: hs}
-	scaled, labels, scaler := basicRows(hs, nhs, cfg.BasicSlots)
-	unit.scaler = scaler
-	model, iters, err := iterativeTrain(scaled, labels, cfg, groupParams(cfg, 0), 1, onRound)
-	if err != nil {
-		return nil, 0, err
-	}
-	unit.model = model
-	return unit, iters, nil
 }
 
 // iterativeTrain realizes §III-D2: train, self-evaluate on the training
@@ -345,7 +300,7 @@ func (d *Detector) trainFeedback(nonhotspots []*clip.Pattern, cfg Config, onRoun
 	}
 	// Sub-cluster the extras with ambit information (classification on
 	// the whole clip window rather than the core only).
-	sub := topo.ClassifyObs(windowSamples(extras), cfg.Topo, cfg.Obs)
+	sub, _ := topo.ClassifyParallel(windowSamples(extras), cfg.Topo, cfg.Obs, cfg.Workers)
 	var negatives []*clip.Pattern
 	for _, c := range sub {
 		negatives = append(negatives, extras[c.Representative])
@@ -366,15 +321,15 @@ func (d *Detector) trainFeedback(nonhotspots []*clip.Pattern, cfg Config, onRoun
 		return
 	}
 	fb := &feedbackUnit{slots: cfg.BasicSlots}
-	rows := make([][]float64, 0, len(positives)+len(negatives))
-	labels := make([]int, 0, cap(rows))
-	for _, p := range positives {
-		rows = append(rows, fb.vector(p))
-		labels = append(labels, +1)
-	}
-	for _, p := range negatives {
-		rows = append(rows, fb.vector(p))
-		labels = append(labels, -1)
+	samples := append(positives, negatives...)
+	rows := make([][]float64, len(samples))
+	par.For(len(samples), cfg.Workers, func(i int) { rows[i] = fb.vector(samples[i]) })
+	labels := make([]int, len(samples))
+	for i := range labels {
+		labels[i] = -1
+		if i < len(positives) {
+			labels[i] = +1
+		}
 	}
 	fb.scaler = svm.FitScaler(rows)
 	scaled := fb.scaler.ApplyAll(rows)

@@ -10,6 +10,7 @@ import (
 	"hotspot/internal/geom"
 	"hotspot/internal/layout"
 	"hotspot/internal/obs"
+	"hotspot/internal/par"
 	"hotspot/internal/topo"
 )
 
@@ -98,7 +99,7 @@ func (d *Detector) DetectContext(ctx context.Context, l *layout.Layout) (Report,
 			hi = len(cands)
 		}
 		ps := s.patterns(hi - lo)
-		parallelFor(len(ps), cfg.Workers, func(i int) {
+		par.For(len(ps), cfg.Workers, func(i int) {
 			clip.FromLayoutInto(ps[i], l, cfg.Layer, cfg.Spec, cands[lo+i].At, 0)
 		})
 		vs := d.evalBatchScratch(s, ps, cfg)

@@ -75,15 +75,8 @@ func TrainMultiLayer(train []*clip.MultiPattern, classifyLayer int, cfg Config) 
 		centroids[i] = nhs[c.Representative]
 	}
 
-	hsClusters := topo.Classify(samples(hs), cfg.Topo)
-	grid := cfg.Topo.DensityGrid
-	if grid <= 0 {
-		grid = topo.DefaultOptions.DensityGrid
-	}
-	hsClusters = topo.MergeClusters(hsClusters, topo.GridsOf(func(i int) topo.Density {
-		p := hs[i]
-		return topo.CanonicalDensity(p.Layer(classifyLayer), p.Core, grid)
-	}, len(hs)), cfg.MaxKernels)
+	hsClusters, hsGrids := topo.ClassifyParallel(samples(hs), cfg.Topo, nil, cfg.Workers)
+	hsClusters = topo.MergeClusters(hsClusters, hsGrids, cfg.MaxKernels)
 
 	emit := progressEmitter(cfg)
 	for ci, cluster := range hsClusters {

@@ -69,6 +69,30 @@ func TestLoadRejectsBadInput(t *testing.T) {
 	}
 }
 
+// goldenModelDigest is the ModelDigest of the default-config detector
+// trained on testBenchmark(). Training is a pure function of the data and
+// the configuration, so any change to it — extraction order, parallel
+// fan-out, distance arithmetic — must leave this digest byte-identical.
+const goldenModelDigest = "13c80ed00db22db5008fdc81c4fee5f68f296a6a44b50e20404b08f9b63e8b11"
+
+// TestTrainModelDigestAcrossWorkers locks training exactness: the trained
+// model is byte-identical at every worker count and equal to the golden
+// digest.
+func TestTrainModelDigestAcrossWorkers(t *testing.T) {
+	b := testBenchmark()
+	for _, w := range []int{1, 2, 8} {
+		cfg := DefaultConfig()
+		cfg.Workers = w
+		d, err := Train(b.Train, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.ModelDigest(); got != goldenModelDigest {
+			t.Fatalf("workers=%d: model digest %s, want %s", w, got, goldenModelDigest)
+		}
+	}
+}
+
 // TestTrainDeterministic guards against map-iteration nondeterminism in
 // training: two trainings of the same data must classify identically
 // (the paper's ours_nopara row equals ours).

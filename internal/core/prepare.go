@@ -7,6 +7,7 @@ import (
 	"hotspot/internal/clip"
 	"hotspot/internal/features"
 	"hotspot/internal/obs"
+	"hotspot/internal/par"
 	"hotspot/internal/svm"
 	"hotspot/internal/topo"
 )
@@ -22,16 +23,27 @@ import (
 // A Prepared is immutable except for SetGroupParams and is safe to Train
 // more than once.
 type Prepared struct {
-	cfg           Config
-	rawHS, rawNHS []*clip.Pattern
-	// hs is the upsampled hotspot population (== rawHS in Basic mode).
+	cfg Config
+	// rawNHS are the training nonhotspots, the feedback kernel's
+	// self-evaluation population.
+	rawNHS []*clip.Pattern
+	// hs is the upsampled hotspot population (the raw hotspots in Basic
+	// mode).
 	hs []*clip.Pattern
 	// clusters are the hotspot topology clusters; empty in Basic mode,
 	// where the single huge kernel is the only group.
-	clusters  []topo.Cluster
+	clusters []topo.Cluster
+	// centroids are every group's negatives: the nonhotspot cluster
+	// centroids (every raw nonhotspot in Basic mode).
 	centroids []*clip.Pattern
 	stats     TrainStats
 	tel       obs.Telemetry
+
+	// hsEx and centroidEx are the core feature material of hs and
+	// centroids, extracted once on first use (see material) and aligned
+	// into every group's slot layout from there.
+	exOnce           sync.Once
+	hsEx, centroidEx []features.Extracted
 }
 
 // Prepare runs the training-set preprocessing and returns the grouped
@@ -52,12 +64,12 @@ func Prepare(train []*clip.Pattern, cfg Config) (*Prepared, error) {
 	if len(nhs) == 0 {
 		return nil, ErrNoNonHotspots
 	}
-	p := &Prepared{cfg: cfg, rawHS: hs, rawNHS: nhs}
+	p := &Prepared{cfg: cfg, rawNHS: nhs}
 	if !cfg.EnableTopo {
 		// Basic baseline: one huge kernel over the raw training data —
 		// no data shifting, no downsampling — matching the unbalanced
 		// #hs/#nhs ratios of the Table III "Basic" rows.
-		p.hs = hs
+		p.hs, p.centroids = hs, nhs
 		p.stats.HotspotClusters = 1
 		p.stats.UpsampledHS = len(hs)
 		p.stats.NonHotspotCentroids = len(nhs)
@@ -76,12 +88,12 @@ func Prepare(train []*clip.Pattern, cfg Config) (*Prepared, error) {
 
 	// Downsample nonhotspots to topological cluster centroids.
 	sp = obs.Begin(tel, cfg.Obs, "train.classify.nonhotspot")
-	nhsClusters := topo.ClassifyObs(coreSamples(nhs), cfg.Topo, cfg.Obs)
+	nhsClusters, nhsGrids := topo.ClassifyParallel(coreSamples(nhs), cfg.Topo, cfg.Obs, cfg.Workers)
 	p.stats.NonHotspotClusters = len(nhsClusters)
 	sp.AddItems(int64(len(nhsClusters)))
 	sp.End()
 	sp = obs.Begin(tel, cfg.Obs, "train.downsample")
-	nhsClusters = topo.MergeClusters(nhsClusters, gridsFor(nhs, cfg), cfg.MaxCentroids)
+	nhsClusters = topo.MergeClusters(nhsClusters, nhsGrids, cfg.MaxCentroids)
 	p.centroids = make([]*clip.Pattern, len(nhsClusters))
 	for i, c := range nhsClusters {
 		p.centroids[i] = nhs[c.Representative]
@@ -91,12 +103,28 @@ func Prepare(train []*clip.Pattern, cfg Config) (*Prepared, error) {
 	sp.End()
 
 	sp = obs.Begin(tel, cfg.Obs, "train.classify.hotspot")
-	hsClusters := topo.ClassifyObs(coreSamples(p.hs), cfg.Topo, cfg.Obs)
+	hsClusters, hsGrids := topo.ClassifyParallel(coreSamples(p.hs), cfg.Topo, cfg.Obs, cfg.Workers)
 	p.stats.HotspotClusters = len(hsClusters)
-	p.clusters = topo.MergeClusters(hsClusters, gridsFor(p.hs, cfg), cfg.MaxKernels)
+	p.clusters = topo.MergeClusters(hsClusters, hsGrids, cfg.MaxKernels)
 	sp.AddItems(int64(len(p.clusters)))
 	sp.End()
 	return p, nil
+}
+
+// material returns the core feature material of the upsampled hotspots
+// and of the centroids. Every pattern is canonicalized and extracted
+// exactly once per Prepared, in parallel over cfg.Workers, on first use;
+// all groups (and repeated Train and GroupDataset calls) then share it.
+func (p *Prepared) material() (hsEx, centroidEx []features.Extracted) {
+	p.exOnce.Do(func() {
+		all := append(append([]*clip.Pattern(nil), p.hs...), p.centroids...)
+		ex := make([]features.Extracted, len(all))
+		par.For(len(all), p.cfg.Workers, func(i int) {
+			ex[i] = features.ExtractAll(all[i].CoreRects(), all[i].Core)
+		})
+		p.hsEx, p.centroidEx = ex[:len(p.hs)], ex[len(p.hs):]
+	})
+	return p.hsEx, p.centroidEx
 }
 
 // Config returns the configuration the set was prepared under (including
@@ -126,7 +154,7 @@ func (p *Prepared) GroupKey(i int) string {
 // upsampling) and its negative count (the shared centroid set).
 func (p *Prepared) GroupSize(i int) (hotspots, negatives int) {
 	if !p.cfg.EnableTopo {
-		return len(p.rawHS), len(p.rawNHS)
+		return len(p.hs), len(p.centroids)
 	}
 	return len(p.clusters[i].Members), len(p.centroids)
 }
@@ -136,16 +164,40 @@ func (p *Prepared) GroupSize(i int) (hotspots, negatives int) {
 // nonhotspot centroids (-1), in the representative's slot layout, scaled
 // by a scaler fit on those rows.
 func (p *Prepared) GroupDataset(i int) (rows [][]float64, labels []int) {
-	if !p.cfg.EnableTopo {
-		rows, labels, _ = basicRows(p.rawHS, p.rawNHS, p.cfg.BasicSlots)
-		return rows, labels
-	}
-	cluster := p.clusters[i]
-	repr := p.hs[cluster.Representative]
-	ex := features.NewExtractor(repr.CoreRects(), repr.Core)
-	members := p.groupMembers(cluster)
-	rows, labels, _ = groupRows(ex, members, p.centroids)
+	_, rows, labels, _ = p.groupRows(i)
 	return rows, labels
+}
+
+// groupRows builds group i's dataset from the shared feature material and
+// returns the group's extractor (the representative's slot layout; nil in
+// Basic mode, whose rows are direct feature vectors), the scaled rows,
+// the +1/-1 labels and the scaler.
+func (p *Prepared) groupRows(i int) (*features.Extractor, [][]float64, []int, *svm.Scaler) {
+	hsEx, centroidEx := p.material()
+	var ex *features.Extractor
+	vector := func(e features.Extracted) []float64 { return features.VectorDirectFrom(e, p.cfg.BasicSlots) }
+	members := hsEx
+	if p.cfg.EnableTopo {
+		cluster := p.clusters[i]
+		ex = features.NewExtractorFromSlots(hsEx[cluster.Representative].Rules)
+		vector = ex.VectorFrom
+		members = make([]features.Extracted, len(cluster.Members))
+		for j, m := range cluster.Members {
+			members[j] = hsEx[m]
+		}
+	}
+	rows := make([][]float64, 0, len(members)+len(centroidEx))
+	labels := make([]int, 0, cap(rows))
+	for _, e := range members {
+		rows = append(rows, vector(e))
+		labels = append(labels, +1)
+	}
+	for _, e := range centroidEx {
+		rows = append(rows, vector(e))
+		labels = append(labels, -1)
+	}
+	sc := svm.FitScaler(rows)
+	return ex, sc.ApplyAll(rows), labels, sc
 }
 
 // groupMembers resolves a cluster's member indices to patterns.
@@ -176,10 +228,11 @@ func (p *Prepared) Train() (*Detector, error) {
 	tel := &d.telemetry
 	emit := progressEmitter(cfg)
 
+	sp := obs.Begin(tel, cfg.Obs, "train.kernels")
 	if !cfg.EnableTopo {
-		sp := obs.Begin(tel, cfg.Obs, "train.kernels")
 		sp.AddItems(1)
-		unit, iters, err := trainBasicKernel(p.rawHS, p.rawNHS, cfg, roundEmitter(emit, "train.kernels", 0))
+		unit := &kernelUnit{hotspots: p.hs}
+		iters, err := p.trainKernel(0, unit, roundEmitter(emit, "train.kernels", 0))
 		if err != nil {
 			return nil, err
 		}
@@ -189,8 +242,9 @@ func (p *Prepared) Train() (*Detector, error) {
 		return d, nil
 	}
 
-	// Train one kernel per hotspot cluster, in parallel (§III-G).
-	sp := obs.Begin(tel, cfg.Obs, "train.kernels")
+	// Train one kernel per hotspot cluster, in parallel (§III-G), from
+	// feature material extracted once up front.
+	p.material()
 	units := make([]*kernelUnit, len(p.clusters))
 	iters := make([]int, len(p.clusters))
 	errs := make([]error, len(p.clusters))
@@ -202,9 +256,8 @@ func (p *Prepared) Train() (*Detector, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			units[ci], iters[ci], errs[ci] = trainClusterKernel(cluster, p.hs[cluster.Representative],
-				p.groupMembers(cluster), p.centroids, cfg, groupParams(cfg, ci),
-				roundEmitter(emit, "train.kernels", ci))
+			units[ci] = &kernelUnit{key: cluster.Key, centroid: cluster.Centroid, hotspots: p.groupMembers(cluster)}
+			iters[ci], errs[ci] = p.trainKernel(ci, units[ci], roundEmitter(emit, "train.kernels", ci))
 		}(ci, cluster)
 	}
 	wg.Wait()
@@ -231,35 +284,15 @@ func (p *Prepared) Train() (*Detector, error) {
 	return d, nil
 }
 
-// groupRows builds one topology group's labelled dataset in ex's slot
-// layout and returns the scaled rows, the +1/-1 labels, and the scaler.
-func groupRows(ex *features.Extractor, members, centroids []*clip.Pattern) ([][]float64, []int, *svm.Scaler) {
-	rows := make([][]float64, 0, len(members)+len(centroids))
-	labels := make([]int, 0, len(members)+len(centroids))
-	for _, p := range members {
-		rows = append(rows, ex.Vector(p.CoreRects(), p.Core))
-		labels = append(labels, +1)
-	}
-	for _, p := range centroids {
-		rows = append(rows, ex.Vector(p.CoreRects(), p.Core))
-		labels = append(labels, -1)
-	}
-	sc := svm.FitScaler(rows)
-	return sc.ApplyAll(rows), labels, sc
-}
-
-// basicRows builds the Basic baseline's direct-feature dataset.
-func basicRows(hs, nhs []*clip.Pattern, slots int) ([][]float64, []int, *svm.Scaler) {
-	rows := make([][]float64, 0, len(hs)+len(nhs))
-	labels := make([]int, 0, len(hs)+len(nhs))
-	for _, p := range hs {
-		rows = append(rows, features.VectorDirect(p.CoreRects(), p.Core, slots))
-		labels = append(labels, +1)
-	}
-	for _, p := range nhs {
-		rows = append(rows, features.VectorDirect(p.CoreRects(), p.Core, slots))
-		labels = append(labels, -1)
-	}
-	sc := svm.FitScaler(rows)
-	return sc.ApplyAll(rows), labels, sc
+// trainKernel fits group i's kernel into unit: the group's hotspots
+// against the centroids, with iterative C/gamma doubling seeded by the
+// group's hyperparameter override (when set).
+func (p *Prepared) trainKernel(i int, unit *kernelUnit, onRound func(int, int, float64, float64, float64)) (int, error) {
+	var scaled [][]float64
+	var labels []int
+	unit.extractor, scaled, labels, unit.scaler = p.groupRows(i)
+	var iters int
+	var err error
+	unit.model, iters, err = iterativeTrain(scaled, labels, p.cfg, groupParams(p.cfg, i), 1, onRound)
+	return iters, err
 }

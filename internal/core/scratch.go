@@ -136,7 +136,7 @@ var (
 )
 
 // setStage tags the current goroutine (and any goroutine it spawns, i.e.
-// parallelFor workers) with a pipeline-stage pprof label.
+// par.For workers) with a pipeline-stage pprof label.
 func setStage(ctx context.Context) { pprof.SetGoroutineLabels(ctx) }
 
 // allocBytesName is the runtime metric behind eval.alloc_bytes_per_clip.

@@ -169,6 +169,41 @@ func TestDetectConcurrent(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyIs413 checks that a body past MaxBodyBytes answers 413
+// on every body-reading endpoint, rather than failing to decode as a
+// silently truncated 400.
+func TestOversizedBodyIs413(t *testing.T) {
+	b, _ := fixture(t)
+	s := testServer(t, nil, Config{MaxBodyBytes: 256})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	detect := clipSetBody(t, b.Train[:3])
+	if detect.Len() <= 256 {
+		t.Fatalf("fixture body of %d bytes is not oversized", detect.Len())
+	}
+	scan := `{"rects":[` + strings.Repeat(`[0,0,1200,200],`, 40) + `[0,0,1,1]]}`
+	reload := `{"path":"` + strings.Repeat("x", 300) + `"}`
+	for _, c := range []struct {
+		path string
+		body io.Reader
+	}{
+		{"/v1/detect", detect},
+		{"/v1/scan", strings.NewReader(scan)},
+		{"/v1/reload", strings.NewReader(reload)},
+	} {
+		resp, data := postJSON(t, ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d (%s), want 413", c.path, resp.StatusCode, data)
+		}
+	}
+	// A malformed body under the cap is still a 400.
+	resp, _ := postJSON(t, ts.URL+"/v1/scan", strings.NewReader("not json"))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("garbage body: status %d, want 400", resp.StatusCode)
+	}
+}
+
 func TestDetectRejectsBadRequests(t *testing.T) {
 	b, _ := fixture(t)
 	s := testServer(t, nil, Config{MaxPatterns: 2})

@@ -6,6 +6,7 @@ import (
 
 	"hotspot/internal/geom"
 	"hotspot/internal/obs"
+	"hotspot/internal/par"
 )
 
 // Options parameterizes the two-level classification.
@@ -66,33 +67,49 @@ type Sample struct {
 // density-based clustering with the Eq. (2) radius inside each bucket.
 // Cluster order is deterministic.
 func Classify(patterns []Sample, opts Options) []Cluster {
-	return ClassifyObs(patterns, opts, nil)
+	clusters, _ := ClassifyParallel(patterns, opts, nil, 1)
+	return clusters
 }
 
-// ClassifyObs is Classify with metrics: when reg is non-nil it records the
-// sample count, the string-level bucket count, the final cluster count,
-// and the classification wall time. A nil reg is exactly Classify.
-func ClassifyObs(patterns []Sample, opts Options, reg *obs.Registry) []Cluster {
+// ClassifyParallel is Classify with the per-sample canonicalization (the
+// bulk of the work) spread over up to workers goroutines, and with metrics:
+// when reg is non-nil it records the sample count, the string-level bucket
+// count, the final cluster count, and the classification wall time. It also
+// returns every sample's canonical density grid, indexed like patterns, for
+// MergeClusters. The clusters are identical to Classify's for any worker
+// count.
+func ClassifyParallel(patterns []Sample, opts Options, reg *obs.Registry, workers int) ([]Cluster, []Density) {
 	start := time.Now()
-	clusters, buckets := classify(patterns, opts)
+	clusters, grids, buckets := classify(patterns, opts, workers)
 	if reg != nil {
 		reg.Counter("topo.samples").Add(int64(len(patterns)))
 		reg.Counter("topo.string_buckets").Add(int64(buckets))
 		reg.Counter("topo.clusters").Add(int64(len(clusters)))
 		reg.Histogram("topo.classify_seconds").ObserveDuration(time.Since(start))
 	}
-	return clusters
+	return clusters, grids
 }
 
-// classify is the implementation; it also reports the string-level bucket
-// count for instrumentation.
-func classify(patterns []Sample, opts Options) ([]Cluster, int) {
+// classify is the implementation; it also returns the samples' canonical
+// grids and the string-level bucket count for instrumentation.
+func classify(patterns []Sample, opts Options, workers int) ([]Cluster, []Density, int) {
 	if opts.DensityGrid <= 0 {
 		opts.DensityGrid = DefaultOptions.DensityGrid
 	}
 	if opts.K <= 0 {
 		opts.K = DefaultOptions.K
 	}
+	// One Canonicalize per sample serves both the string key and the
+	// density grid; computing them separately would canonicalize every
+	// pattern twice (8 orientation passes each). Samples are independent,
+	// so they fan out into indexed slots; everything after is serial in
+	// input order.
+	keys := make([]string, len(patterns))
+	grids := make([]Density, len(patterns))
+	par.For(len(patterns), workers, func(i int) {
+		keys[i], grids[i] = CanonicalKeyDensity(patterns[i].Rects, patterns[i].Region, opts.DensityGrid)
+	})
+
 	// Level 1: string-based buckets.
 	type bucket struct {
 		key     string
@@ -100,13 +117,7 @@ func classify(patterns []Sample, opts Options) ([]Cluster, int) {
 	}
 	byKey := make(map[string]*bucket)
 	var order []string
-	keys := make([]string, len(patterns))
-	grids := make([]Density, len(patterns))
-	for i, p := range patterns {
-		// One Canonicalize serves both the string key and the density grid;
-		// computing them separately would canonicalize every pattern twice
-		// (8 orientation passes each).
-		keys[i], grids[i] = CanonicalKeyDensity(p.Rects, p.Region, opts.DensityGrid)
+	for i := range patterns {
 		b := byKey[keys[i]]
 		if b == nil {
 			b = &bucket{key: keys[i]}
@@ -155,7 +166,7 @@ func classify(patterns []Sample, opts Options) ([]Cluster, int) {
 		b := byKey[key]
 		out = append(out, densityCluster(b.key, b.members, grids, opts)...)
 	}
-	return out, len(order)
+	return out, grids, len(order)
 }
 
 // CanonicalDensity computes the density grid in the canonical orientation
@@ -274,13 +285,15 @@ func densityCluster(key string, members []int, grids []Density, opts Options) []
 		placed := false
 		for ci := range clusters {
 			c := &clusters[ci]
-			if _, dist := AlignTo(c.Centroid, grids[m]); dist <= radius {
-				aligned, _ := AlignTo(c.Centroid, grids[m])
+			// The member is read through its aligning orientation's
+			// source table.
+			if src, dist := nearestOrientation(c.Centroid, grids[m]); dist <= radius {
 				c.Members = append(c.Members, m)
 				if opts.RecalcCentroid {
 					n := float64(len(c.Members))
+					g := grids[m].D
 					for i := range c.Centroid.D {
-						c.Centroid.D[i] = (c.Centroid.D[i]*(n-1) + aligned.D[i]) / n
+						c.Centroid.D[i] = (c.Centroid.D[i]*(n-1) + g[src[i]]) / n
 					}
 				}
 				placed = true
@@ -302,7 +315,7 @@ func densityCluster(key string, members []int, grids []Density, opts Options) []
 		best := -1
 		bestDist := 0.0
 		for _, m := range c.Members {
-			_, d := AlignTo(c.Centroid, grids[m])
+			_, d := nearestOrientation(c.Centroid, grids[m])
 			if best == -1 || d < bestDist {
 				best, bestDist = m, d
 			}

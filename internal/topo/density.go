@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math"
+	"sync"
 
 	"hotspot/internal/geom"
 	"hotspot/internal/simd"
@@ -98,13 +99,59 @@ func (d Density) Orient(o geom.Orientation) Density {
 	return out
 }
 
-// l1 returns the plain L1 distance between two equally sized grids.
-func l1(a, b Density) float64 {
+// orientTables maps a grid size n to its orientation tables: one
+// source-index table per entry of geom.AllOrientations, with
+// b.Orient(o).D[i] == b.D[t[o][i]]. Reading b through a table replaces an
+// oriented copy of b per orientation.
+var orientTables sync.Map // int -> *[geom.NumOrientations][]int32
+
+// tablesFor returns the orientation tables of n x n grids, building them on
+// first use.
+func tablesFor(n int) *[geom.NumOrientations][]int32 {
+	if t, ok := orientTables.Load(n); ok {
+		return t.(*[geom.NumOrientations][]int32)
+	}
+	t := new([geom.NumOrientations][]int32)
+	s := geom.Coord(n - 1)
+	for oi, o := range geom.AllOrientations {
+		src := make([]int32, n*n)
+		for y := 0; y < n; y++ {
+			for x := 0; x < n; x++ {
+				p := o.ApplyToPoint(geom.Pt(geom.Coord(x), geom.Coord(y)), s)
+				src[int(p.Y)*n+int(p.X)] = int32(y*n + x)
+			}
+		}
+		t[oi] = src
+	}
+	actual, _ := orientTables.LoadOrStore(n, t)
+	return actual.(*[geom.NumOrientations][]int32)
+}
+
+// l1Oriented is the L1 distance between a and b.Orient(o), for o's source
+// table src, summed in order over a.D without materializing the oriented
+// grid.
+func l1Oriented(a, b Density, src []int32) float64 {
 	var sum float64
-	for i := range a.D {
-		sum += math.Abs(a.D[i] - b.D[i])
+	for i, v := range a.D {
+		sum += math.Abs(v - b.D[src[i]])
 	}
 	return sum
+}
+
+// nearestOrientation returns the source table of b's orientation nearest
+// to a in L1 (the first of geom.AllOrientations on ties) and that
+// distance; the table is nil when no distance compares below +Inf.
+// Centroid updates read members through the table, so that members
+// accumulate in a consistent frame.
+func nearestOrientation(a, b Density) ([]int32, float64) {
+	best := math.Inf(1)
+	var bestSrc []int32
+	for _, src := range tablesFor(b.N) {
+		if v := l1Oriented(a, b, src); v < best {
+			best, bestSrc = v, src
+		}
+	}
+	return bestSrc, best
 }
 
 // Dist implements the paper's Eq. (1): the minimum, over the eight
@@ -114,31 +161,8 @@ func Dist(a, b Density) float64 {
 		// Incomparable grids are infinitely far apart.
 		return math.Inf(1)
 	}
-	best := math.Inf(1)
-	for _, o := range geom.AllOrientations {
-		v := l1(a, b.Orient(o))
-		if v < best {
-			best = v
-		}
-	}
-	return best
-}
-
-// AlignTo returns b oriented so that its L1 distance to a is minimal,
-// together with that distance. Used for centroid updates so that members
-// accumulate in a consistent frame.
-func AlignTo(a, b Density) (Density, float64) {
-	best := math.Inf(1)
-	var bestD Density
-	for _, o := range geom.AllOrientations {
-		ob := b.Orient(o)
-		v := l1(a, ob)
-		if v < best {
-			best = v
-			bestD = ob
-		}
-	}
-	return bestD, best
+	_, d := nearestOrientation(a, b)
+	return d
 }
 
 // Mean returns the element-wise mean of grids (all the same size). The

@@ -90,10 +90,7 @@ func TestQuickMergeClustersPreservesMembership(t *testing.T) {
 			rects, window := randomPattern(rng)
 			samples = append(samples, Sample{Rects: rects, Region: window})
 		}
-		clusters := Classify(samples, DefaultOptions)
-		grids := GridsOf(func(i int) Density {
-			return CanonicalDensity(samples[i].Rects, samples[i].Region, 12)
-		}, len(samples))
+		clusters, grids := ClassifyParallel(samples, DefaultOptions, nil, 1)
 		merged := MergeClusters(clusters, grids, 3)
 		if len(merged) > 3 && len(clusters) > 3 {
 			return false

@@ -8,8 +8,10 @@ import "sort"
 // membership. Synthetic or highly varied training sets can fragment the
 // string-level classification far beyond the paper's expected cluster
 // count (K = 10 on the repetitive industrial benchmarks); this merge
-// restores a bounded kernel count without discarding any pattern.
-func MergeClusters(clusters []Cluster, grids func(member int) Density, maxN int) []Cluster {
+// restores a bounded kernel count without discarding any pattern. grids
+// holds every member's canonical density grid, indexed like the member
+// indices (ClassifyParallel returns them).
+func MergeClusters(clusters []Cluster, grids []Density, maxN int) []Cluster {
 	if maxN <= 0 || len(clusters) <= maxN {
 		return clusters
 	}
@@ -40,12 +42,13 @@ func MergeClusters(clusters []Cluster, grids func(member int) Density, maxN int)
 			}
 		}
 		sd := &seeds[best]
-		// Weighted centroid update in the seed's frame.
-		aligned, _ := AlignTo(sd.Centroid, c.Centroid)
+		// Weighted centroid update in the seed's frame, reading c's
+		// centroid through its aligning orientation's source table.
+		src, _ := nearestOrientation(sd.Centroid, c.Centroid)
 		wa := float64(len(sd.Members))
 		wb := float64(len(c.Members))
 		for k := range sd.Centroid.D {
-			sd.Centroid.D[k] = (sd.Centroid.D[k]*wa + aligned.D[k]*wb) / (wa + wb)
+			sd.Centroid.D[k] = (sd.Centroid.D[k]*wa + c.Centroid.D[src[k]]*wb) / (wa + wb)
 		}
 		sd.Members = append(sd.Members, c.Members...)
 	}
@@ -53,7 +56,7 @@ func MergeClusters(clusters []Cluster, grids func(member int) Density, maxN int)
 	for s := range seeds {
 		best, bestD := -1, 0.0
 		for _, m := range seeds[s].Members {
-			_, d := AlignTo(seeds[s].Centroid, grids(m))
+			_, d := nearestOrientation(seeds[s].Centroid, grids[m])
 			if best == -1 || d < bestD {
 				best, bestD = m, d
 			}
@@ -61,18 +64,4 @@ func MergeClusters(clusters []Cluster, grids func(member int) Density, maxN int)
 		seeds[s].Representative = best
 	}
 	return seeds
-}
-
-// GridsOf computes canonical density grids for a set of patterns, for use
-// with MergeClusters.
-func GridsOf(compute func(i int) Density, n int) func(int) Density {
-	cache := make(map[int]Density, n)
-	return func(i int) Density {
-		if g, ok := cache[i]; ok {
-			return g
-		}
-		g := compute(i)
-		cache[i] = g
-		return g
-	}
 }
