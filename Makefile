@@ -86,9 +86,11 @@ bench-scan-incremental:
 	$(GO) test -run='^$$' -bench='BenchmarkScanIncremental' -benchtime=2x \
 		-count=$(BENCHCOUNT) -timeout 40m ./internal/core/
 
-# Clip-evaluation fast-path benchmarks (pooled scratch + exact pre-screen
-# cascade): steady-state memo-hit, forced-miss, and cascade-disabled
-# regimes, reporting ns/clip and allocs/op. bench-extract-baseline.txt is
+# Clip-evaluation fast-path benchmarks (pooled scratch + exact verdict
+# memo): the steady-state memo-hit (prescreen-hit) and memo-disabled
+# (full-eval) regimes, reporting ns/clip and allocs/op. A memo miss costs a
+# full evaluation plus one geometry hash, so it has no regime of its own.
+# bench-extract-baseline.txt is
 # the committed pre-fast-path baseline; CI benchstat-diffs fresh runs
 # against it and separately hard-fails if the prescreen-hit steady state
 # allocates (see the alloc-gate job).

@@ -4,11 +4,14 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"hotspot/internal/obs"
@@ -103,24 +106,36 @@ func printObservability(trainTel, detectTel *obs.Telemetry, reg *obs.Registry) {
 			fmt.Printf("  %-*s %12d\n", width, name, snap.Counters[name])
 		}
 	}
-	if len(snap.Histograms) > 0 {
-		fmt.Println("histograms:")
-		width := 0
-		for name := range snap.Histograms {
-			if len(name) > width {
-				width = len(name)
-			}
+	printHistograms(os.Stdout, snap.Histograms)
+}
+
+// printHistograms renders one line per histogram. Names ending in
+// "seconds" hold durations and print as such; every other histogram holds
+// plain values (sizes, byte counts, scores) and prints as a number.
+func printHistograms(w io.Writer, hists map[string]obs.HistogramStats) {
+	if len(hists) == 0 {
+		return
+	}
+	fmt.Fprintln(w, "histograms:")
+	width := 0
+	for name := range hists {
+		if len(name) > width {
+			width = len(name)
 		}
-		for _, name := range sortedKeys(snap.Histograms) {
-			h := snap.Histograms[name]
-			fmt.Printf("  %-*s n=%-5d p50=%-10s p95=%-10s max=%s\n",
-				width, name, h.Count, seconds(h.P50), seconds(h.P95), seconds(h.Max))
-		}
+	}
+	for _, name := range sortedKeys(hists) {
+		h := hists[name]
+		fmt.Fprintf(w, "  %-*s n=%-5d p50=%-10s p95=%-10s max=%s\n", width, name, h.Count,
+			histValue(name, h.P50), histValue(name, h.P95), histValue(name, h.Max))
 	}
 }
 
-func seconds(s float64) string {
-	return time.Duration(s * float64(time.Second)).Round(time.Microsecond).String()
+// histValue formats one observation of the named histogram.
+func histValue(name string, v float64) string {
+	if strings.HasSuffix(name, "seconds") {
+		return time.Duration(v * float64(time.Second)).Round(time.Microsecond).String()
+	}
+	return strconv.FormatFloat(v, 'g', 6, 64)
 }
 
 func sortedKeys[V any](m map[string]V) []string {

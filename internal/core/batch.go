@@ -14,10 +14,11 @@ import (
 // cancellation responsive on full-chip scans.
 const detectChunk = 256
 
-// batchVerdict is one clip's multiple-kernel outcome from evalBatch; it
-// mirrors multiKernelEval's returns so the batched and scalar evaluation
-// paths report identical flags, kernel indices, confidences, and kernel
-// evaluation counts.
+// batchVerdict is one clip's multiple-kernel outcome from
+// evalBatchScratch: the flag, the flagging kernel's index (for feedback
+// training), the confidence (the maximum decision value over all kernels,
+// computed for flagged clips only), and the number of kernel decision
+// evaluations performed.
 type batchVerdict struct {
 	flagged bool
 	kidx    int
@@ -31,27 +32,18 @@ func (d *Detector) basicOnly() bool {
 	return len(d.kernels) == 1 && d.kernels[0].key == ""
 }
 
-// evalBatch is the batched counterpart of multiKernelEval: the pre-screen
-// cascade resolves what it can, then features are extracted once per
-// surviving clip and every kernel evaluates the batch through
-// svm.Model.DecisionBatch. Because the batched decision is bit-for-bit
-// equal to the scalar one and the cascade is verdict-preserving, each
-// verdict matches what multiKernelEval would have returned for that clip —
-// including the flagging-kernel index and the kernel-evaluation count.
+// evalBatchScratch runs the multiple-kernel evaluation (§III-D4) over a
+// batch of clips: a clip is flagged when any kernel classifies it as a
+// hotspot. The verdict memo resolves the clips whose core geometry it has
+// already seen; features are extracted once per remaining clip and every
+// kernel evaluates them through svm.Model.DecisionBatch. With RouteK > 0
+// a clip is instead routed to its exact-topology kernels or its RouteK
+// density-nearest ones — a cheaper approximation (see
+// BenchmarkAblationRouting for the accuracy cost).
 //
-// This compatibility wrapper allocates the returned verdicts; the hot
-// loops hold an evalScratch and call evalBatchScratch directly.
-func (d *Detector) evalBatch(ps []*clip.Pattern, cfg Config) []batchVerdict {
-	s := getScratch()
-	out := append([]batchVerdict(nil), d.evalBatchScratch(s, ps, cfg)...)
-	putScratch(s)
-	return out
-}
-
-// evalBatchScratch is evalBatch into a caller-held scratch. The returned
-// slice is s.vs — valid until the next call that uses s. In the steady
-// state (every clip resolved by the cascade, Workers <= 1, no registry
-// attached) the call performs zero heap allocations, which
+// The returned slice is s.vs — valid until the next call that uses s. In
+// the steady state (every clip resolved by the memo, Workers <= 1, no
+// registry attached) the call performs zero heap allocations, which
 // TestEvalBatchZeroAlloc locks in.
 func (d *Detector) evalBatchScratch(s *evalScratch, ps []*clip.Pattern, cfg Config) []batchVerdict {
 	n := len(ps)
@@ -65,59 +57,35 @@ func (d *Detector) evalBatchScratch(s *evalScratch, ps []*clip.Pattern, cfg Conf
 	}
 	defer setStage(labelBase)
 
+	setStage(labelClassify)
 	live := s.live[:0]
 	hashes := s.hashes[:0]
-	var memo *verdictMemo
-	rejects, hits := 0, 0
-	if !cfg.DisablePrescreen {
-		setStage(labelClassify)
-		env := d.envelope()
-		// The envelope is armed only where the unflagged verdict it
-		// synthesizes (evals included) is the slow path's constant: every
-		// kernel evaluated, or the basic kernel's single decision. Routed
-		// evals depend on the route, which costs what the screen saves.
-		useEnv := env.ok && cfg.RouteK <= 0 &&
-			(!env.hasBasic || env.basicSlots == cfg.BasicSlots)
-		constEvals := len(d.kernels)
-		if d.basicOnly() {
-			constEvals = 1
-		}
-		memo = d.memoFor(cfg)
-		for i, p := range ps {
-			if useEnv && env.rejects(s.coreDensity(p), cfg.Bias) {
-				vs[i].evals = constEvals
-				rejects++
+	memo := d.memoFor(cfg)
+	hits := 0
+	for i, p := range ps {
+		h := coreHash(p)
+		if !d.memoDisabled {
+			if v, ok := memo.lookup(h, p); ok {
+				vs[i] = v
+				hits++
 				continue
 			}
-			h := coreHash(p)
-			if !d.memoDisabled {
-				if v, ok := memo.lookup(h, p); ok {
-					vs[i] = v
-					hits++
-					continue
-				}
-			}
-			live = append(live, i)
-			hashes = append(hashes, h)
 		}
-	} else {
-		for i := range ps {
-			live = append(live, i)
-		}
+		live = append(live, i)
+		hashes = append(hashes, h)
 	}
 	s.live = live
 	s.hashes = hashes
 
 	if len(live) > 0 {
 		d.evalLive(s, ps, live, cfg)
-		if memo != nil && !d.memoDisabled {
+		if !d.memoDisabled {
 			for t, i := range live {
 				memo.insert(hashes[t], ps[i], vs[i])
 			}
 		}
 	}
 	if reg := cfg.Obs; reg != nil {
-		reg.Counter("eval.prescreen_rejects").Add(int64(rejects))
 		reg.Counter("eval.memo_hits").Add(int64(hits))
 		reg.Counter("eval.memo_misses").Add(int64(len(live)))
 		reg.Histogram("eval.alloc_bytes_per_clip").
@@ -224,9 +192,8 @@ func (d *Detector) evalLiveBasic(s *evalScratch, live []int, cfg Config) {
 // evalLiveAllKernels evaluates every kernel over the live clips
 // (kernel-major, one batched decision per kernel) and derives each clip's
 // flag, flagging-kernel index, and confidence from the decision stream.
-// The evals accounting reproduces the scalar path: ki+1 flag decisions
-// plus a |kernels| confidence pass for flagged clips, |kernels| for clean
-// ones.
+// The evals accounting counts ki+1 flag decisions plus a |kernels|
+// confidence pass for flagged clips, |kernels| for clean ones.
 func (d *Detector) evalLiveAllKernels(s *evalScratch, live []int, cfg Config) {
 	vs := s.vs
 	m := len(live)
@@ -275,9 +242,9 @@ func (d *Detector) evalLiveAllKernels(s *evalScratch, live []int, cfg Config) {
 // at step t every still-unflagged clip whose route has a t-th kernel is
 // grouped by that kernel, and each group is one batched decision. The walk
 // stops per clip at its first flagging kernel, so the verdicts (and the
-// per-clip evaluation counts) match the scalar routed loop exactly; a
+// per-clip evaluation counts) match a per-clip routed loop exactly; a
 // final batched pass over all kernels computes the flagged clips'
-// confidences, as multiKernelEval does.
+// confidences.
 func (d *Detector) evalLiveRouted(s *evalScratch, ps []*clip.Pattern, live []int, cfg Config) {
 	vs := s.vs
 	m := len(live)
@@ -381,22 +348,14 @@ func (s *evalScratch) kernelRowFor(k *kernelUnit, u, t int) []float64 {
 	return row
 }
 
-// feedbackBatch applies the feedback kernel to a batch's flagged clips in
-// one batched decision, honouring the same gates as feedbackReclaims:
-// confidently flagged clips (conf >= FeedbackOverride, when the override
-// is armed) are never reclaimed, and a reclaim requires the feedback
-// decision clearly on the nonhotspot side (below -FeedbackMargin).
-// Compatibility wrapper; hot loops use feedbackBatchScratch.
-func (d *Detector) feedbackBatch(ps []*clip.Pattern, vs []batchVerdict, cfg Config) []bool {
-	s := getScratch()
-	out := append([]bool(nil), d.feedbackBatchScratch(s, ps, vs, cfg)...)
-	putScratch(s)
-	return out
-}
-
-// feedbackBatchScratch is feedbackBatch into a caller-held scratch; the
-// returned slice is valid until the next call that uses s. A batch with no
-// feedback candidates performs no allocation.
+// feedbackBatchScratch applies the feedback kernel to a batch's flagged
+// clips in one batched decision. A flag is withdrawn only when the
+// feedback decision is clearly on the nonhotspot side (below
+// -FeedbackMargin) AND the multi-kernel flag was weak (confidence below
+// FeedbackOverride, when the override is armed) — confidently flagged
+// clips are never reclaimed, so accuracy is not sacrificed for false-alarm
+// reduction. The returned slice is valid until the next call that uses s;
+// a batch with no feedback candidates performs no allocation.
 func (d *Detector) feedbackBatchScratch(s *evalScratch, ps []*clip.Pattern, vs []batchVerdict, cfg Config) []bool {
 	if cap(s.reclaimed) < len(ps) {
 		s.reclaimed = make([]bool, len(ps))
@@ -450,11 +409,11 @@ func (d *Detector) feedbackBatchScratch(s *evalScratch, ps []*clip.Pattern, vs [
 	return reclaimed
 }
 
-// ClassifyBatch evaluates many standalone clips at once — the batched
-// counterpart of calling ClassifyPattern per clip, with identical labels.
-// One configuration snapshot covers the whole batch; the SVM work runs
-// through the flat batched decision path behind the pre-screen cascade.
-// Safe for concurrent use.
+// ClassifyBatch evaluates many standalone clips at once, returning each
+// clip's predicted label (after the feedback kernel when present). One
+// configuration snapshot covers the whole batch; the SVM work runs through
+// the flat batched decision path behind the verdict memo. Safe for
+// concurrent use.
 func (d *Detector) ClassifyBatch(ps []*clip.Pattern) []clip.Label {
 	cfg := d.config()
 	s := getScratch()

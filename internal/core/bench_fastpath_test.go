@@ -11,14 +11,13 @@ import (
 
 // BenchmarkEvalClipPipeline measures steady-state clip evaluation (one
 // detectChunk batch, serial workers — the tile evaluator's shape) through
-// the three fast-path regimes:
+// the two fast-path regimes:
 //
-//   - prescreen-hit: the cascade resolves every clip (warmed verdict memo),
+//   - prescreen-hit: the verdict memo resolves every clip (warmed memo),
 //     the zero-allocation steady state of repeated layout geometry;
-//   - prescreen-miss: the cascade is consulted but every memo lookup
-//     misses (memoDisabled), so each clip pays the screen AND the full
-//     pipeline — the cascade's overhead ceiling;
-//   - full-eval: the cascade is disabled outright, the slow path.
+//   - full-eval: the memo is off (memoDisabled), so every clip takes
+//     feature extraction and the kernel decisions — the slow path. A memo
+//     miss costs the same plus one geometry hash.
 //
 // bench-extract-baseline.txt holds the pre-fast-path numbers for the same
 // benchmark names (every regime ran the then-only full pipeline); CI
@@ -43,22 +42,17 @@ func BenchmarkEvalClipPipeline(b *testing.B) {
 		d.evalBatchScratch(s, ps, cfg) // warm the memo
 		run(b, cfg)
 	})
-	b.Run("prescreen-miss", func(b *testing.B) {
+	b.Run("full-eval", func(b *testing.B) {
 		d.memoDisabled = true
 		defer func() { d.memoDisabled = false }()
 		run(b, cfg)
-	})
-	b.Run("full-eval", func(b *testing.B) {
-		slow := cfg
-		slow.DisablePrescreen = true
-		run(b, slow)
 	})
 }
 
 // TestWriteBenchExtractJSON regenerates BENCH_extract.json at the repo
 // root when HOTSPOT_BENCH_JSON is set (see `make bench-extract-json` and
 // EXPERIMENTS.md): per-regime ns/clip plus the hit-path speedup over the
-// cascade-disabled slow path.
+// memo-disabled slow path.
 func TestWriteBenchExtractJSON(t *testing.T) {
 	if os.Getenv("HOTSPOT_BENCH_JSON") == "" {
 		t.Skip("set HOTSPOT_BENCH_JSON=1 to (re)write BENCH_extract.json")
@@ -81,11 +75,8 @@ func TestWriteBenchExtractJSON(t *testing.T) {
 	d.evalBatchScratch(s, ps, cfg) // warm the memo
 	hit := nsPerClip(cfg)
 	d.memoDisabled = true
-	miss := nsPerClip(cfg)
+	full := nsPerClip(cfg)
 	d.memoDisabled = false
-	slow := cfg
-	slow.DisablePrescreen = true
-	full := nsPerClip(slow)
 
 	allocs := testing.AllocsPerRun(20, func() { d.evalBatchScratch(s, ps, cfg) })
 
@@ -95,13 +86,11 @@ func TestWriteBenchExtractJSON(t *testing.T) {
 		"simd_dispatch": simd.Active(),
 		"batch_clips":   len(ps),
 		"ns_per_clip": map[string]float64{
-			"prescreen_hit":  hit,
-			"prescreen_miss": miss,
-			"full_eval":      full,
+			"prescreen_hit": hit,
+			"full_eval":     full,
 		},
-		"speedup_hit_vs_full":   full / hit,
-		"overhead_miss_vs_full": miss / full,
-		"steady_state_allocs":   allocs,
+		"speedup_hit_vs_full": full / hit,
+		"steady_state_allocs": allocs,
 	}
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -110,6 +99,6 @@ func TestWriteBenchExtractJSON(t *testing.T) {
 	if err := os.WriteFile("../../BENCH_extract.json", append(buf, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("hit %.0fns miss %.0fns full %.0fns per clip (hit x%.1f vs full, %.1f allocs)",
-		hit, miss, full, full/hit, allocs)
+	t.Logf("hit %.0fns full %.0fns per clip (hit x%.1f vs full, %.1f allocs)",
+		hit, full, full/hit, allocs)
 }

@@ -90,13 +90,6 @@ type Config struct {
 	// (or its K density-nearest ones) instead of evaluating every kernel;
 	// 0 evaluates all kernels, the paper's behaviour.
 	RouteK int
-	// DisablePrescreen switches the clip-evaluation fast path's exact
-	// pre-screen cascade off (see prescreen.go): the certified density
-	// envelope and the canonical-geometry verdict memo. The cascade is
-	// provably verdict-preserving — reports are byte-identical either way —
-	// so the zero value (cascade on) is the right default; the knob exists
-	// for the equivalence tests and for benchmarking the slow path.
-	DisablePrescreen bool
 	// Bias shifts every kernel's decision threshold: 0 is the paper's
 	// operating point ("ours"); positive values demand stronger evidence,
 	// realizing ours_med / ours_low.

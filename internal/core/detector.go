@@ -35,14 +35,11 @@ type Detector struct {
 	// telemetry records the training pipeline's stage timings and counts.
 	telemetry obs.Telemetry
 
-	// Pre-screen cascade state (see prescreen.go). The envelope depends
-	// only on the immutable kernels and is built on first use; the memo is
-	// swapped atomically whenever the evaluation configuration changes.
-	envOnce sync.Once
-	env     *densityEnvelope
-	memo    atomic.Pointer[verdictMemo]
-	// memoDisabled (tests and the prescreen-miss benchmark only) keeps the
-	// envelope armed while forcing every memo lookup to miss.
+	// memo is the verdict memo (see prescreen.go), swapped atomically
+	// whenever the evaluation configuration changes.
+	memo atomic.Pointer[verdictMemo]
+	// memoDisabled (the exactness tests and the full-eval benchmark only)
+	// turns the memo off: every clip takes the full evaluation.
 	memoDisabled bool
 }
 

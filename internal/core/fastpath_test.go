@@ -5,26 +5,15 @@ import (
 	"testing"
 
 	"hotspot/internal/clip"
-	"hotspot/internal/features"
 	"hotspot/internal/geom"
 	"hotspot/internal/layout"
 	"hotspot/internal/obs"
 	"hotspot/internal/scan"
 )
 
-// setPrescreen toggles the fast path's pre-screen cascade on a live
-// detector (test-only knob; production callers set Config.DisablePrescreen
-// before Train).
-func setPrescreen(d *Detector, disabled bool) {
-	d.mu.Lock()
-	d.cfg.DisablePrescreen = disabled
-	d.mu.Unlock()
-}
-
 // detectEqual runs reportsEqual plus the stronger telemetry obligation the
 // cascade carries: the kernel-evaluation count must be byte-identical too
-// (envelope rejects mirror the slow path's constant evals; memo hits
-// replay cached verdicts verbatim).
+// (memo hits replay cached verdicts verbatim).
 func detectEqual(t *testing.T, label string, got, want Report) {
 	t.Helper()
 	reportsEqual(t, label, got, want)
@@ -36,26 +25,22 @@ func detectEqual(t *testing.T, label string, got, want Report) {
 }
 
 // TestPrescreenCascadeExact is the fast path's central proof obligation:
-// with the cascade enabled (envelope + memo, memo-only, or envelope-only)
-// Detect's report — hotspots, tallies, and kernel-evaluation telemetry —
-// is byte-identical to the cascade-disabled slow path, across worker
-// counts and bias operating points.
+// with the cascade (the verdict memo) enabled, Detect's report — hotspots,
+// tallies, and kernel-evaluation telemetry — is byte-identical to the
+// cascade-disabled slow path, across worker counts and bias operating
+// points.
 func TestPrescreenCascadeExact(t *testing.T) {
 	b := testBenchmark()
 	d := trainedDetector(t, DefaultConfig())
 
 	for _, bias := range []float64{0, 0.75} {
 		d.SetBias(bias)
-		setPrescreen(d, true)
+		d.memoDisabled = true
 		want := d.Detect(b.Test)
-		setPrescreen(d, false)
+		d.memoDisabled = false
 		for _, workers := range []int{1, 8} {
 			d.SetWorkers(workers)
 			detectEqual(t, "cascade", d.Detect(b.Test), want)
-			// Envelope-only: force every memo lookup to miss.
-			d.memoDisabled = true
-			detectEqual(t, "envelope-only", d.Detect(b.Test), want)
-			d.memoDisabled = false
 		}
 		d.SetWorkers(DefaultConfig().Workers)
 	}
@@ -63,18 +48,15 @@ func TestPrescreenCascadeExact(t *testing.T) {
 }
 
 // TestPrescreenCascadeExactBasic covers the single-huge-kernel baseline,
-// whose envelope takes the direct-vector (BasicSlots) layout path.
+// whose memoized verdicts come from the direct-vector (BasicSlots) path.
 func TestPrescreenCascadeExactBasic(t *testing.T) {
 	b := testBenchmark()
 	d := trainedDetector(t, BasicConfig())
 
-	setPrescreen(d, true)
-	want := d.Detect(b.Test)
-	setPrescreen(d, false)
-	detectEqual(t, "basic cascade", d.Detect(b.Test), want)
 	d.memoDisabled = true
-	detectEqual(t, "basic envelope-only", d.Detect(b.Test), want)
+	want := d.Detect(b.Test)
 	d.memoDisabled = false
+	detectEqual(t, "basic cascade", d.Detect(b.Test), want)
 }
 
 // TestPrescreenScanPathsExact extends the equivalence to every scan
@@ -85,9 +67,9 @@ func TestPrescreenScanPathsExact(t *testing.T) {
 	b := testBenchmark()
 	d := trainedDetector(t, DefaultConfig())
 
-	setPrescreen(d, true)
+	d.memoDisabled = true
 	want := d.Detect(b.Test)
-	setPrescreen(d, false)
+	d.memoDisabled = false
 
 	for _, workers := range []int{1, 8} {
 		rep, _, err := d.ScanTiledContext(context.Background(), b.Test, ScanOptions{Tile: 16000, Workers: workers})
@@ -106,9 +88,9 @@ func TestPrescreenScanPathsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setPrescreen(d, true)
+	d.memoDisabled = true
 	gwant := d.Detect(flat)
-	setPrescreen(d, false)
+	d.memoDisabled = false
 	reportsEqual(t, "gds cascade", grep, gwant)
 
 	// Distributed shard path: two tile-row-aligned bands, merged exactly as
@@ -157,9 +139,6 @@ func TestPrescreenObservability(t *testing.T) {
 	if snap.Counters["eval.memo_hits"] == 0 {
 		t.Fatal("no memo hits recorded on a repeat detection")
 	}
-	if _, ok := snap.Counters["eval.prescreen_rejects"]; !ok {
-		t.Fatal("eval.prescreen_rejects counter missing")
-	}
 	h, ok := snap.Histograms["eval.alloc_bytes_per_clip"]
 	if !ok || h.Count == 0 {
 		t.Fatalf("eval.alloc_bytes_per_clip histogram missing or empty: %+v", h)
@@ -201,7 +180,7 @@ func TestEvalBatchZeroAlloc(t *testing.T) {
 	defer putScratch(s)
 	ps, cfg := evalFixture(t, d, b.Test, s)
 
-	d.evalBatchScratch(s, ps, cfg) // warm buffers, envelope, and memo
+	d.evalBatchScratch(s, ps, cfg) // warm buffers and memo
 
 	if allocs := testing.AllocsPerRun(50, func() {
 		d.evalBatchScratch(s, ps, cfg)
@@ -214,33 +193,6 @@ func TestEvalBatchZeroAlloc(t *testing.T) {
 		d.feedbackBatchScratch(s, ps, clean, cfg)
 	}); allocs != 0 {
 		t.Fatalf("steady-state feedbackBatch allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-// TestEnvelopeBoundSound is the stage-1 soundness property: for every
-// candidate clip, every kernel's actual decision value is at or below the
-// envelope's bound for the clip's raw-density bin — the inequality that
-// makes an envelope reject provably exact.
-func TestEnvelopeBoundSound(t *testing.T) {
-	b := testBenchmark()
-	d := trainedDetector(t, DefaultConfig())
-	env := d.envelope()
-	if !env.ok {
-		t.Fatal("envelope refused to build for the default configuration")
-	}
-	s := getScratch()
-	defer putScratch(s)
-	ps, _ := evalFixture(t, d, b.Test, s)
-
-	for _, p := range ps {
-		ub := env.ub[binOf(s.coreDensity(p))]
-		ex := features.ExtractAll(p.CoreRects(), p.Core)
-		for ki, k := range d.kernels {
-			dec := k.model.Decision(k.scaler.Apply(k.extractor.VectorFrom(ex)))
-			if dec > ub {
-				t.Fatalf("kernel %d decision %v exceeds envelope bound %v", ki, dec, ub)
-			}
-		}
 	}
 }
 

@@ -201,9 +201,8 @@ func TestScanIncrementalDigestMismatch(t *testing.T) {
 }
 
 // TestModelDigestStability pins what the digest must and must not depend
-// on: it ignores runtime knobs (worker count, the per-scan snap base, the
-// prescreen toggle — the cascade is exact) and changes with anything that
-// can change a verdict.
+// on: it ignores runtime knobs (worker count, the per-scan snap base) and
+// changes with anything that can change a verdict.
 func TestModelDigestStability(t *testing.T) {
 	d := trainedDetector(t, DefaultConfig())
 	digest := d.ModelDigest()
@@ -214,10 +213,9 @@ func TestModelDigestStability(t *testing.T) {
 	saved := d.cfg
 	defer func() { d.cfg = saved }()
 	d.cfg.Workers = 3
-	d.cfg.DisablePrescreen = true
 	d.cfg.Requirements.SnapBase = geom.Pt(123, 456)
 	if d.ModelDigest() != digest {
-		t.Fatal("digest depends on a runtime knob (workers, prescreen, or snap base)")
+		t.Fatal("digest depends on a runtime knob (workers or snap base)")
 	}
 	d.cfg.Requirements.SnapGrid = 300
 	if d.ModelDigest() == digest {

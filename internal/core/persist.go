@@ -75,9 +75,15 @@ func (d *Detector) persisted() persistedModel {
 		Selection: d.Selection(),
 	}
 	for _, k := range d.kernels {
+		// The Basic kernel has no slot layout (it vectorizes directly with
+		// BasicSlots), so it persists no slots.
+		var slots []features.RuleRect
+		if k.extractor != nil {
+			slots = k.extractor.Slots()
+		}
 		pm.Kernels = append(pm.Kernels, persistedKernel{
 			Key:      k.key,
-			Slots:    k.extractor.Slots(),
+			Slots:    slots,
 			Centroid: k.centroid,
 			SVM:      toPersistedSVM(k.model, nil),
 			Scaler:   k.scaler,
@@ -108,16 +114,13 @@ func (d *Detector) Save(w io.Writer) error {
 // them.
 //
 // Fields that cannot affect a verdict are normalized out so they never
-// spuriously invalidate a store: worker count, the snap-grid origin
+// spuriously invalidate a store: the worker count and the snap-grid origin
 // (derived per layout, already part of every tile key's coordinate
-// frame), and the prescreen toggle (the cascade is exact — verified by
-// TestPrescreenCascadeExact). Obs and Progress are excluded from the
-// serialized form already.
+// frame). Obs and Progress are excluded from the serialized form already.
 func (d *Detector) ModelDigest() string {
 	pm := d.persisted()
 	pm.Config.Workers = 0
 	pm.Config.Requirements.SnapBase = geom.Point{}
-	pm.Config.DisablePrescreen = false
 	b, err := json.Marshal(pm)
 	if err != nil {
 		// persistedModel marshals from plain structs and slices; an error

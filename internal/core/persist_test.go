@@ -34,26 +34,43 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveLoadDetectIdentical round-trips the default and the Basic
+// (single huge kernel, no slot layout) detectors: the reloaded detector
+// must report exactly what the original does and carry the same
+// ModelDigest. Each saved model is also loaded in the form older releases
+// wrote, with the since-removed "DisablePrescreen" config member present.
 func TestSaveLoadDetectIdentical(t *testing.T) {
 	b := testBenchmark()
-	d := trainedDetector(t, DefaultConfig())
-	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := d.Detect(b.Test)
-	c := loaded.Detect(b.Test)
-	if len(a.Hotspots) != len(c.Hotspots) {
-		t.Fatalf("reports differ: %d vs %d", len(a.Hotspots), len(c.Hotspots))
-	}
-	for i := range a.Hotspots {
-		if a.Hotspots[i] != c.Hotspots[i] {
-			t.Fatalf("hotspot %d differs", i)
-		}
+	for name, cfg := range map[string]Config{
+		"default": DefaultConfig(),
+		"basic":   BasicConfig(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			d := trainedDetector(t, cfg)
+			var buf bytes.Buffer
+			if err := d.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			saved := buf.String()
+			if n := strings.Count(saved, `"Bias":`); n != 1 {
+				t.Fatalf("saved model has %d Bias members, want 1", n)
+			}
+			want := d.Detect(b.Test)
+			for _, input := range []struct{ label, doc string }{
+				{"current", saved},
+				{"legacy prescreen off", strings.Replace(saved, `"Bias":`, `"DisablePrescreen":false,"Bias":`, 1)},
+				{"legacy prescreen on", strings.Replace(saved, `"Bias":`, `"DisablePrescreen":true,"Bias":`, 1)},
+			} {
+				loaded, err := Load(strings.NewReader(input.doc))
+				if err != nil {
+					t.Fatalf("%s: %v", input.label, err)
+				}
+				if got := loaded.ModelDigest(); got != d.ModelDigest() {
+					t.Fatalf("%s: digest %s, want %s", input.label, got, d.ModelDigest())
+				}
+				detectEqual(t, input.label, loaded.Detect(b.Test), want)
+			}
+		})
 	}
 }
 
@@ -73,7 +90,7 @@ func TestLoadRejectsBadInput(t *testing.T) {
 // trained on testBenchmark(). Training is a pure function of the data and
 // the configuration, so any change to it — extraction order, parallel
 // fan-out, distance arithmetic — must leave this digest byte-identical.
-const goldenModelDigest = "13c80ed00db22db5008fdc81c4fee5f68f296a6a44b50e20404b08f9b63e8b11"
+const goldenModelDigest = "008199383769cb8b74691cadb836d83dec623753adb351ab4c48450b5d9bad71"
 
 // TestTrainModelDigestAcrossWorkers locks training exactness: the trained
 // model is byte-identical at every worker count and equal to the golden

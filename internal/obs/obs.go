@@ -80,9 +80,12 @@ func (g *Gauge) Value() int64 {
 // count, sum, and max are exact over the histogram's lifetime.
 const histRing = 1024
 
-// Histogram records float64 observations (by convention, durations in
-// seconds) and reports count, sum, max, and approximate p50/p95 over a
-// sliding window of recent samples. A nil *Histogram is a no-op.
+// Histogram records float64 observations and reports count, sum, max, and
+// approximate p50/p95 over a sliding window of recent samples. Durations
+// are recorded in seconds under a name ending in "seconds" (the CLI's
+// -stats printer formats exactly those as durations); any other name
+// holds plain values such as sizes, byte counts, or scores. A nil
+// *Histogram is a no-op.
 type Histogram struct {
 	mu    sync.Mutex
 	count int64

@@ -49,23 +49,20 @@ type pool struct {
 	wg        sync.WaitGroup
 	batchSize int
 	batchWait time.Duration
-	classify  func(*clip.Pattern) clip.Label
-	// classifyBatch, when set, classifies a coalesced batch in one call
-	// (the detector's flat batched SVM path); nil falls back to per-clip
-	// classify calls.
-	classifyBatch func([]*clip.Pattern) []clip.Label
-	reg           *obs.Registry
+	// classify labels a coalesced batch in one call (the detector's flat
+	// batched SVM path), returning one label per clip.
+	classify func([]*clip.Pattern) []clip.Label
+	reg      *obs.Registry
 }
 
-func newPool(workers, queueSize, batchSize int, batchWait time.Duration, classify func(*clip.Pattern) clip.Label, classifyBatch func([]*clip.Pattern) []clip.Label, reg *obs.Registry) *pool {
+func newPool(workers, queueSize, batchSize int, batchWait time.Duration, classify func([]*clip.Pattern) []clip.Label, reg *obs.Registry) *pool {
 	p := &pool{
-		queue:         make(chan *task, queueSize),
-		stop:          make(chan struct{}),
-		batchSize:     batchSize,
-		batchWait:     batchWait,
-		classify:      classify,
-		classifyBatch: classifyBatch,
-		reg:           reg,
+		queue:     make(chan *task, queueSize),
+		stop:      make(chan struct{}),
+		batchSize: batchSize,
+		batchWait: batchWait,
+		classify:  classify,
+		reg:       reg,
 	}
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
@@ -160,8 +157,8 @@ func (p *pool) collect(first *task) []*task {
 
 // run classifies a batch, skipping tasks whose request context has already
 // expired (their handler has moved on; the buffered result channel makes
-// the send non-blocking either way). With a batched classifier installed,
-// the still-live tasks of a multi-clip batch are classified in one call.
+// the send non-blocking either way). The still-live tasks are classified
+// in one call.
 func (p *pool) run(batch []*task) {
 	p.reg.Histogram("server.batch.size").Observe(float64(len(batch)))
 	p.reg.Gauge("server.queue.depth").Set(int64(len(p.queue)))
@@ -177,26 +174,16 @@ func (p *pool) run(batch []*task) {
 	if len(live) == 0 {
 		return
 	}
-	if p.classifyBatch != nil && len(live) > 1 {
-		ps := make([]*clip.Pattern, len(live))
-		for i, t := range live {
-			ps[i] = t.pattern
-		}
-		start := time.Now()
-		labels := p.classifyBatch(ps)
-		perClip := time.Since(start) / time.Duration(len(live))
-		for i, t := range live {
-			p.reg.Histogram("server.classify.seconds").ObserveDuration(perClip)
-			p.reg.Counter("server.clips.classified").Inc()
-			t.result <- taskResult{label: labels[i]}
-		}
-		return
+	ps := make([]*clip.Pattern, len(live))
+	for i, t := range live {
+		ps[i] = t.pattern
 	}
-	for _, t := range live {
-		start := time.Now()
-		label := p.classify(t.pattern)
-		p.reg.Histogram("server.classify.seconds").ObserveDuration(time.Since(start))
+	start := time.Now()
+	labels := p.classify(ps)
+	perClip := time.Since(start) / time.Duration(len(live))
+	for i, t := range live {
+		p.reg.Histogram("server.classify.seconds").ObserveDuration(perClip)
 		p.reg.Counter("server.clips.classified").Inc()
-		t.result <- taskResult{label: label}
+		t.result <- taskResult{label: labels[i]}
 	}
 }

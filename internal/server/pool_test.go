@@ -14,13 +14,25 @@ import (
 // trivial without a trained model.
 func echoClassify(p *clip.Pattern) clip.Label { return p.Label }
 
+// perClip adapts a one-clip classifier to the pool's batch signature,
+// classifying the batch's clips in order.
+func perClip(classify func(*clip.Pattern) clip.Label) func([]*clip.Pattern) []clip.Label {
+	return func(ps []*clip.Pattern) []clip.Label {
+		out := make([]clip.Label, len(ps))
+		for i, p := range ps {
+			out[i] = classify(p)
+		}
+		return out
+	}
+}
+
 func testPattern(label clip.Label) *clip.Pattern {
 	return &clip.Pattern{Label: label}
 }
 
 func TestPoolProcessesAll(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := newPool(4, 64, 8, time.Millisecond, echoClassify, nil, reg)
+	p := newPool(4, 64, 8, time.Millisecond, perClip(echoClassify), reg)
 	defer p.shutdown()
 
 	const n = 50
@@ -62,7 +74,7 @@ func TestPoolQueueFullRejects(t *testing.T) {
 		return clip.NonHotspot
 	}
 	reg := obs.NewRegistry()
-	p := newPool(1, 2, 1, 0, classify, nil, reg)
+	p := newPool(1, 2, 1, 0, perClip(classify), reg)
 	defer p.shutdown()
 	defer close(gate)
 
@@ -92,7 +104,7 @@ func TestPoolQueueFullRejects(t *testing.T) {
 }
 
 func TestPoolSkipsCancelledTasks(t *testing.T) {
-	p := newPool(1, 8, 4, 0, echoClassify, nil, nil)
+	p := newPool(1, 8, 4, 0, perClip(echoClassify), nil)
 	defer p.shutdown()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -118,7 +130,7 @@ func TestPoolShutdownDrainsQueue(t *testing.T) {
 		<-gate
 		return clip.NonHotspot
 	}
-	p := newPool(1, 16, 1, 0, classify, nil, nil)
+	p := newPool(1, 16, 1, 0, perClip(classify), nil)
 
 	tasks := make([]*task, 5)
 	for i := range tasks {

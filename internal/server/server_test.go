@@ -49,11 +49,15 @@ func fixture(t testing.TB) (*iccad.Benchmark, *core.Detector) {
 }
 
 // testServer builds a server around the fixture detector; classify == nil
-// uses the real model.
+// uses the real model, anything else is applied one clip at a time.
 func testServer(t testing.TB, classify func(*clip.Pattern) clip.Label, cfg Config) *Server {
 	t.Helper()
 	_, det := fixture(t)
-	s, err := newServer(det, classify, cfg)
+	var batch func([]*clip.Pattern) []clip.Label
+	if classify != nil {
+		batch = perClip(classify)
+	}
+	s, err := newServer(det, batch, cfg)
 	if err != nil {
 		t.Fatalf("newServer: %v", err)
 	}
@@ -114,6 +118,40 @@ func TestDetectEndpoint(t *testing.T) {
 	}
 	if dr.Hotspots != hotspots {
 		t.Fatalf("hotspot count %d, want %d", dr.Hotspots, hotspots)
+	}
+}
+
+// TestDetectOneClipBatches pins the BatchSize 1 path — one-clip batches,
+// which once bypassed the verdict memo — to the detector's batched
+// labels, on a fresh pass and on a repeat the memo answers.
+func TestDetectOneClipBatches(t *testing.T) {
+	b, det := fixture(t)
+	s := testServer(t, nil, Config{BatchSize: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	patterns := b.Train[:40]
+	want := det.ClassifyBatch(patterns)
+	for pass := 0; pass < 2; pass++ {
+		resp, data := postJSON(t, ts.URL+"/v1/detect", clipSetBody(t, patterns))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("pass %d: status %d: %s", pass, resp.StatusCode, data)
+		}
+		var dr detectResponse
+		if err := json.Unmarshal(data, &dr); err != nil {
+			t.Fatalf("pass %d: decoding response: %v", pass, err)
+		}
+		if len(dr.Labels) != len(patterns) {
+			t.Fatalf("pass %d: %d labels, want %d", pass, len(dr.Labels), len(patterns))
+		}
+		for i := range patterns {
+			if dr.Labels[i] != want[i] {
+				t.Fatalf("pass %d: pattern %d: label %v, want %v", pass, i, dr.Labels[i], want[i])
+			}
+		}
+	}
+	if hits := s.reg.Snapshot().Counters["eval.memo_hits"]; hits == 0 {
+		t.Fatal("one-clip batches recorded no verdict-memo hits")
 	}
 }
 
